@@ -3,7 +3,7 @@
 #   make verify     — the tier-1 gate: release build + full test suite
 #   make ci         — everything CI runs: fmt, build, test, clippy, mt-tests
 #   make bench      — criterion micro-benchmarks (shimmed harness)
-#   make speedup    — parallel-driver mutex-vs-sharded merge comparison
+#   make speedup    — parallel-driver scaling: 1 thread vs N threads
 #   make test-mt    — release tests with 4 test threads (scheduler jobs)
 #   make test-scalar — full release suite with the SIMD backend forced off
 #   make sched-bench — FIFO vs concurrent-serving latency benchmark
@@ -16,10 +16,11 @@
 #   make serve-smoke — mlss_serve + 2-tenant load_bench + shell parity diff
 #   make load-bench — overload (capped) + fairness profiles vs a live server
 #   make rank-bench — raced RANK BY vs exhaustive per-arm estimation + socket smoke
+#   make durabench-check — build durabench from its own manifest + its unit tests
 
 CARGO ?= cargo
 
-.PHONY: verify ci fmt clippy test build bench speedup test-mt test-scalar sched-bench kernel-bench width-bench wal-bench reuse-bench sql-demo test-durability serve-smoke load-bench rank-bench
+.PHONY: verify ci fmt clippy test build bench speedup test-mt test-scalar sched-bench kernel-bench width-bench wal-bench reuse-bench sql-demo test-durability serve-smoke load-bench rank-bench durabench-check
 
 verify: build test
 
@@ -158,7 +159,14 @@ rank-bench: build
 	  | tee target/rank-bench/socket-smoke.txt; \
 	grep -E "up=0\.42" target/rank-bench/socket-smoke.txt | grep -qE "\| (in|out|definitive|resolved|budget) \|"
 
-ci: fmt build test clippy test-mt test-durability rank-bench
+# The benchmark package links against the public mlss-db surface but is
+# a workspace of its own, so nothing else compiles it: build it from its
+# own manifest and run its unit tests.
+durabench-check:
+	$(CARGO) build --release --manifest-path durabench/Cargo.toml
+	$(CARGO) test --manifest-path durabench/Cargo.toml
+
+ci: fmt build test clippy test-mt test-durability rank-bench durabench-check
 
 bench:
 	$(CARGO) bench -p mlss-bench

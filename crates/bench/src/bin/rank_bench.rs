@@ -20,7 +20,7 @@
 //!
 //! Usage: `cargo run --release -p mlss-bench --bin rank_bench [--smoke]`
 
-use mlss_db::{ExecResult, Session, SessionConfig, Value};
+use mlss_db::{ExecResult, Session, SessionConfig, Statement, Value};
 use std::time::Instant;
 
 struct Shape {
@@ -70,16 +70,21 @@ fn as_text(v: &Value) -> &str {
     }
 }
 
-/// The raced path: one RANK BY statement. Returns (winner label, total
-/// steps across all arms, wall seconds, standings row count).
-fn run_raced(shape: &Shape) -> (String, u64, f64, usize) {
-    let s = session();
-    let sql = format!(
+/// The race statement both paths answer.
+fn race_sql(shape: &Shape) -> String {
+    format!(
         "ESTIMATE DURABILITY OF walk(beta=6) SWEEP up FROM {} TO {} STEP {} \
          WITHIN 50 USING srs TARGET RE {} \
          RANK BY TOP 1 (rounds={}, round_budget={}) WITH (seed={})",
         shape.from, shape.to, shape.step, shape.re, shape.rounds, shape.round_budget, shape.seed
-    );
+    )
+}
+
+/// The raced path: one RANK BY statement. Returns (winner label, total
+/// steps across all arms, wall seconds, standings row count).
+fn run_raced(shape: &Shape) -> (String, u64, f64, usize) {
+    let s = session();
+    let sql = race_sql(shape);
     let start = Instant::now();
     let rows = rows_of(s.execute(&sql).expect("raced statement"));
     let wall = start.elapsed().as_secs_f64();
@@ -107,14 +112,16 @@ fn run_exhaustive(shape: &Shape) -> (f64, u64, f64) {
     let mut best: (f64, f64) = (f64::NEG_INFINITY, shape.from);
     let mut steps: u64 = 0;
     let start = Instant::now();
-    // The same expansion formula the SWEEP parser uses, so the swept
-    // values (and their rendered labels) match bit for bit.
-    let count = ((shape.to - shape.from) / shape.step + 1e-9).floor() as usize + 1;
-    for i in 0..count {
-        let up = shape.from + shape.step * i as f64;
+    // The race's own arms, as the parser expanded its SWEEP, so the
+    // swept values (and their rendered labels) match bit for bit.
+    let Ok(Statement::Rank(race)) = mlss_db::sql::parse(&race_sql(shape)) else {
+        panic!("race statement must parse to a ranking");
+    };
+    for (i, arm) in race.arms.iter().enumerate() {
+        let up = arm.params["up"];
         let sql = format!(
-            "ESTIMATE DURABILITY OF walk(beta=6, up={up}) WITHIN 50 USING srs \
-             TARGET RE {} WITH (seed={})",
+            "ESTIMATE DURABILITY OF {} WITHIN 50 USING srs TARGET RE {} WITH (seed={})",
+            arm.model_ref(),
             shape.re,
             mlss_db::arm_seed(shape.seed, i),
         );

@@ -7,11 +7,11 @@
 //! (the worst case for FIFO, which head-of-line-blocks every cheap query
 //! behind the marathons). Both engines run the identical query list:
 //!
-//! * **FIFO** — synchronous `mlss_estimate` calls in arrival order, one
+//! * **FIFO** — synchronous `ESTIMATE` statements in arrival order, one
 //!   at a time; a query's latency is the time from the burst arrival to
 //!   its completion.
-//! * **Scheduler** — `mlss_submit` for the whole burst, then per-query
-//!   completion times. The pool's least-attained-service policy lets the
+//! * **Scheduler** — `ESTIMATE … ASYNC` for the whole burst, then
+//!   per-query completion times. The pool's least-attained-service policy lets the
 //!   cheap queries slice past the expensive ones.
 //!
 //! Reported: per-class p50/p99 latency, makespan, throughput, and the
@@ -21,7 +21,7 @@
 //! Usage: `cargo run --release -p mlss-bench --bin scheduler_bench [--full]`
 
 use mlss_bench::{Profile, Report};
-use mlss_db::{Session, SessionConfig, Value};
+use mlss_db::{Session, SessionConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,26 +65,12 @@ fn workload(profile: Profile) -> Vec<QuerySpec> {
     specs
 }
 
-fn submit_args(spec: &QuerySpec, priority: i64, seed: i64) -> Vec<Value> {
-    vec![
-        spec.model.into(),
-        spec.method.into(),
-        spec.beta.into(),
-        Value::Int(spec.horizon),
-        spec.target_re.into(),
-        Value::Int(priority),
-        Value::Int(seed),
-    ]
-}
-
-fn estimate_args(spec: &QuerySpec) -> Vec<Value> {
-    vec![
-        spec.model.into(),
-        spec.method.into(),
-        spec.beta.into(),
-        Value::Int(spec.horizon),
-        spec.target_re.into(),
-    ]
+/// The query as an `ESTIMATE` statement, with extra clauses in `tail`.
+fn statement(spec: &QuerySpec, tail: &str) -> String {
+    format!(
+        "ESTIMATE DURABILITY OF {}(beta={}) WITHIN {} USING {} TARGET RE {} {tail}",
+        spec.model, spec.beta, spec.horizon, spec.method, spec.target_re
+    )
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -129,7 +115,7 @@ fn run_fifo(specs: &[QuerySpec]) -> (ClassLatencies, f64) {
     let mut samples = Vec::new();
     for spec in specs {
         session
-            .call("mlss_estimate", &estimate_args(spec))
+            .execute(&statement(spec, ""))
             .expect("fifo estimate");
         samples.push((spec.class, burst.elapsed().as_secs_f64()));
     }
@@ -155,11 +141,13 @@ fn run_scheduler(specs: &[QuerySpec]) -> (ClassLatencies, f64, u64, u64) {
         .iter()
         .enumerate()
         .map(|(k, spec)| {
+            let tail = format!("WITH (seed={}) ASYNC", 10_000 + k);
             let id = session
-                .call("mlss_submit", &submit_args(spec, 0, 10_000 + k as i64))
+                .execute(&statement(spec, &tail))
                 .expect("submit")
-                .as_i64()
-                .expect("id") as u64;
+                .scalar()
+                .and_then(|v| v.as_i64())
+                .expect("query_id") as u64;
             (id, spec.class)
         })
         .collect();

@@ -10,10 +10,9 @@
 //! records the calibration outputs.
 
 use mlss_core::quality::QualityTarget;
-use serde::{Deserialize, Serialize};
 
 /// The four query classes of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryClass {
     /// τ ≈ 0.15 — answered to a CI target.
     Medium,
@@ -105,7 +104,7 @@ impl Profile {
 }
 
 /// One durability query setting `(s, β)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QuerySpec {
     /// Query class.
     pub class: QueryClass,

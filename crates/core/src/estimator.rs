@@ -8,7 +8,7 @@
 //! can turn any shard into an [`Estimate`] at any time. Everything above
 //! this trait — the sequential driver [`run_sequential`], the parallel
 //! driver [`crate::parallel::run_parallel`], the `mlss-bench` experiment
-//! runners, and `mlss-db`'s `mlss_estimate` stored procedure — is generic
+//! runners, and `mlss-db`'s `ESTIMATE` statements — is generic
 //! over it, so a new sampling strategy plugs into every layer by
 //! implementing one trait.
 //!

@@ -5,8 +5,6 @@
 //! level `L_m = [1, 1]`. Only the interior boundaries `β_1..β_{m-1}` are
 //! stored; `β_0 = 0` and `β_m = 1` are implicit.
 
-use serde::{Deserialize, Serialize};
-
 /// Error building a [`PartitionPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
@@ -32,7 +30,7 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// A level partition plan `B = {β_1, …, β_{m-1}}` (interior boundaries).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionPlan {
     /// Strictly increasing interior boundaries, each in (0, 1).
     boundaries: Vec<f64>,

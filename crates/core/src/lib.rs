@@ -73,7 +73,7 @@
 //! chunks and can report an [`estimate::Estimate`] at any time. The
 //! sequential driver [`estimator::run_sequential`], the parallel driver
 //! [`parallel::run_parallel`], the `mlss-bench` experiment runners, and
-//! `mlss-db`'s `mlss_estimate` stored procedure are all generic over the
+//! `mlss-db`'s `ESTIMATE` statements are all generic over the
 //! trait, so a new sampling strategy written against it plugs into every
 //! layer — SQL query → planner → parallel driver → sampler — unchanged.
 //!

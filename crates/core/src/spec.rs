@@ -1,10 +1,10 @@
 //! The typed **query spec IR** behind the declarative `ESTIMATE` dialect.
 //!
-//! Every way of asking a durability question — the SQL statement
-//! `ESTIMATE DURABILITY OF cpp(beta=500) WITHIN 1000 …`, the legacy
-//! positional stored procedures (`mlss_estimate`, `mlss_submit`), and the
-//! native `Session::submit` API — compiles down to one [`QuerySpec`]
-//! value and flows through one dispatch path. The IR captures:
+//! Every durability question — the SQL statement
+//! `ESTIMATE DURABILITY OF cpp(beta=500) WITHIN 1000 …`, sync or
+//! `ASYNC`, single or raced under `RANK BY` — compiles down to one
+//! [`QuerySpec`] value and flows through one dispatch path. The IR
+//! captures:
 //!
 //! * the **model reference**: a registered model name plus named
 //!   parameter overrides (validated against the model's
@@ -19,8 +19,7 @@
 //! [`SpecError`] is the taxonomy of everything that can be wrong with a
 //! spec — syntactic (with byte [`Span`]s pointing into the statement
 //! text) or semantic (unknown model/parameter/option, out-of-range
-//! values, missing clauses) — replacing the stringly-typed procedure
-//! errors the positional interface produced.
+//! values, missing clauses) — instead of stringly-typed errors.
 //!
 //! The module also hosts the spec-level scheduler integration:
 //! [`resolve_method`] turns a [`Method`] plus a plan-cache lookup into
@@ -249,8 +248,7 @@ impl std::error::Error for SpecError {}
 // The IR
 // ---------------------------------------------------------------------
 
-/// A sampling method accepted by the dialect (`USING …`) and the
-/// positional shims.
+/// A sampling method accepted by the dialect (`USING …`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Simple random sampling.
@@ -364,9 +362,9 @@ pub const BALANCED_PLAN_KEY: &str = "balanced";
 /// misses would produce different estimates.
 pub const PILOT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The typed IR of one durability estimation query — what every entry
-/// point (dialect statement, positional procedure, native API) compiles
-/// to and what the single dispatch path executes.
+/// The typed IR of one durability estimation query — what every
+/// `ESTIMATE` statement compiles to and what the single dispatch path
+/// executes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Registered model name.

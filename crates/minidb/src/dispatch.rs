@@ -1,11 +1,10 @@
 //! The **one compile-and-dispatch path** every estimation entry point
 //! flows through.
 //!
-//! `ESTIMATE DURABILITY …` statements, the positional stored-procedure
-//! shims (`mlss_estimate`, `mlss_submit`), and the native
-//! [`crate::session::Session`] API all compile their inputs into a
-//! [`QuerySpec`] and call [`execute_spec`]: the spec is validated against
-//! the model's schema, the model is built from its effective parameters,
+//! `ESTIMATE DURABILITY …` statements, sync or `ASYNC`, arrive through
+//! [`crate::session::Session::execute`], compile into a [`QuerySpec`],
+//! and call [`execute_spec`]: the spec is validated against the model's
+//! schema, the model is built from its effective parameters,
 //! and the query runs on the driver its options select — the sequential
 //! or parallel driver for `Sync`, the shared scheduler for `Async` (with
 //! plan derivation deferred to the query's first slice on a cold cache).

@@ -41,10 +41,6 @@ pub enum DbError {
     /// [`mlss_core::spec::SpecError`] taxonomy, carrying a byte span
     /// when the spec came from an `ESTIMATE` statement.
     Spec(mlss_core::spec::SpecError),
-    /// Persistence failure.
-    Io(std::io::Error),
-    /// Corrupt persisted data.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for DbError {
@@ -69,8 +65,6 @@ impl std::fmt::Display for DbError {
                 expected,
             } => write!(f, "procedure '{proc}': argument {index} must be {expected}"),
             DbError::Spec(e) => write!(f, "{e}"),
-            DbError::Io(e) => write!(f, "io error: {e}"),
-            DbError::Corrupt(m) => write!(f, "corrupt data: {m}"),
         }
     }
 }
@@ -80,12 +74,6 @@ impl std::error::Error for DbError {}
 impl From<TableError> for DbError {
     fn from(e: TableError) -> Self {
         DbError::Table(e)
-    }
-}
-
-impl From<std::io::Error> for DbError {
-    fn from(e: std::io::Error) -> Self {
-        DbError::Io(e)
     }
 }
 
@@ -185,16 +173,6 @@ impl Database {
             .get_mut(name)
             .ok_or_else(|| DbError::NoSuchTable(name.into()))?;
         Ok(f(t))
-    }
-
-    /// Snapshot a full table (clone) — used by persistence.
-    pub(crate) fn snapshot(&self, name: &str) -> Result<Table, DbError> {
-        self.with_table(name, |t| t.clone())
-    }
-
-    /// Install a table wholesale (used by recovery).
-    pub(crate) fn install(&self, name: String, table: Table) {
-        self.tables.write().insert(name, table);
     }
 }
 

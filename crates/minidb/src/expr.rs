@@ -1,8 +1,8 @@
 //! A small expression tree for filters and computed columns.
 //!
-//! The mini-DBMS exposes a programmatic query API (no SQL parser); this
-//! module is its `WHERE` clause: column references, literals, comparisons,
-//! boolean connectives, and arithmetic.
+//! The `WHERE` clause of both the programmatic query API and the SQL
+//! front end ([`crate::sql::syntax`]): column references, literals,
+//! comparisons, boolean connectives, and arithmetic.
 
 use crate::schema::Schema;
 use crate::value::Value;

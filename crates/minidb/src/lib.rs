@@ -11,21 +11,23 @@
 //! * [`table`] — row-store tables: scan, filter, project, order,
 //!   aggregate, delete;
 //! * [`engine`] — the thread-safe catalog;
-//! * [`storage`] — crash-safe JSON persistence with corruption recovery;
-//! * [`durability`] — WAL-backed session durability: journaled results,
-//!   plan-cache entries, shard deposits, and crash-recoverable ASYNC
-//!   queries ([`Session::open`] replays the log);
-//! * [`proc`] — stored procedures (`mlss_estimate`, `materialize_paths`)
-//!   as thin shims over the spec dispatch path, plus the model registry
-//!   with per-model parameter schemas;
+//! * [`durability`] — WAL-backed session durability, the one persistence
+//!   format: journaled plain SQL, results, plan-cache entries, shard
+//!   deposits, and crash-recoverable ASYNC queries ([`Session::open`]
+//!   replays the log);
+//! * [`proc`] — the model registry with per-model parameter schemas, and
+//!   the `materialize_paths` stored procedure (the one registered
+//!   procedure: it has no dialect form);
 //! * [`dispatch`] — the one compile-and-dispatch path every estimation
-//!   entry point flows through ([`dispatch::execute_spec`],
+//!   statement flows through ([`dispatch::execute_spec`],
 //!   [`dispatch::explain_spec`], [`dispatch::show_models`]);
-//! * [`session`] — concurrent serving sessions: `mlss_submit`,
-//!   `mlss_poll`, `mlss_cancel` over a shared scheduler and plan cache,
-//!   and [`Session::execute`] running the declarative ESTIMATE dialect;
-//! * [`sql`] — a SQL front end (SELECT/INSERT/CREATE/DELETE/DROP) plus
-//!   the ESTIMATE dialect parser ([`sql::estimate`]).
+//! * [`session`] — concurrent serving sessions: [`Session::execute`]
+//!   runs any statement over a shared scheduler, plan cache, and shard
+//!   store; `… ASYNC` statements are polled, waited on, or cancelled
+//!   through [`Session::poll`] / [`Session::wait`] / [`Session::cancel`];
+//! * [`sql`] — the SQL front end: one spanned lexer and parser for plain
+//!   SQL (SELECT/INSERT/CREATE/DELETE/DROP) and the ESTIMATE dialect
+//!   ([`sql::syntax`]), plus the plain-statement executor.
 
 #![warn(missing_docs)]
 
@@ -37,7 +39,6 @@ pub mod proc;
 pub mod schema;
 pub mod session;
 pub mod sql;
-pub mod storage;
 pub mod table;
 pub mod value;
 
@@ -51,7 +52,6 @@ pub use expr::{col, lit, Expr};
 pub use proc::{seed_default_models, Method, ModelRegistry, ProcRegistry, StoredProcedure};
 pub use schema::{ColumnDef, Schema};
 pub use session::{DiagnosticsSource, Session, SessionConfig};
-pub use sql::{execute, is_dialect, parse_dialect, DialectStatement, ExecResult};
-pub use storage::{load, save, LoadReport};
+pub use sql::{execute, is_dialect, parse_dialect, ExecResult, Statement};
 pub use table::{Aggregate, Table, TableError};
 pub use value::{DataType, Value};

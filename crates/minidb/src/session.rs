@@ -1,14 +1,15 @@
 //! Concurrent serving sessions: the asynchronous face of the §6.4 DBMS
-//! integration, and the front door for the declarative ESTIMATE dialect.
+//! integration, and the front door for every statement.
 //!
-//! `mlss_estimate` is synchronous — the SQL call blocks until the
-//! relative-error target is reached, which can take seconds for tight
-//! targets. A [`Session`] instead fronts a shared
-//! [`mlss_core::scheduler::Scheduler`]: queries are **submitted**,
-//! time-sliced alongside each other, and **polled** for results, so many
-//! clients share one engine without head-of-line blocking.
+//! A synchronous `ESTIMATE` blocks until the relative-error target is
+//! reached, which can take seconds for tight targets. A [`Session`]
+//! fronts a shared [`mlss_core::scheduler::Scheduler`]: `… ASYNC`
+//! statements are **submitted**, time-sliced alongside each other, and
+//! **polled** ([`Session::poll`]), **waited on** ([`Session::wait`]), or
+//! **cancelled** ([`Session::cancel`]) by query id, so many clients share
+//! one engine without head-of-line blocking.
 //!
-//! [`Session::execute`] runs any statement text: the plain SQL surface
+//! [`Session::execute`] runs any statement text — the plain SQL surface
 //! (`SELECT`/`INSERT`/…) plus the dialect —
 //!
 //! ```sql
@@ -19,32 +20,19 @@
 //! SHOW MODELS;
 //! ```
 //!
-//! Every estimation path — dialect statement, positional procedure,
-//! native [`Session::submit`] — compiles to the same
-//! [`mlss_core::spec::QuerySpec`] and dispatches through
-//! [`crate::dispatch::execute_spec`].
-//!
-//! Three stored procedures wrap the async lifecycle (all also available
-//! as native methods):
-//!
-//! * `mlss_submit(model, method, beta, horizon, target_re [, priority [, seed]])`
-//!   → query id (integer). Lower priority runs first; the seed pins the
-//!   query's RNG stream for reproducibility (drawn from the session
-//!   stream when omitted).
-//! * `mlss_poll(id)` → the estimate `τ̂` (float) once done — the first
-//!   such poll also appends the standard `results` row — or a status
-//!   string (`'queued'`, `'running'`, `'paused'`, `'cancelled'`,
-//!   `'failed: …'`) while not.
-//! * `mlss_cancel(id)` → 1 if the cancellation took effect, 0 if the
-//!   query was already terminal.
+//! — parsing it once and routing on the [`Statement`] variant. Every
+//! estimation compiles to a [`mlss_core::spec::QuerySpec`] and
+//! dispatches through [`crate::dispatch::execute_spec`]. The first
+//! [`Session::wait`] of a completed ASYNC query (or a [`Session::prune`]
+//! that evicts it) appends its standard `results` row, exactly once.
 //!
 //! Sessions share one [`PlanCache`] across the synchronous and scheduled
-//! paths, so a submit after an estimate (or vice versa) of the same
-//! (model, β, horizon, method) reuses the derived partition plan instead
-//! of re-running the pilot. On a plan-cache **miss**, a submission does
-//! *not* run the pilot synchronously: plan derivation is scheduled as
-//! the query's first slice (single-flight across concurrent cold
-//! submissions), recorded as `"miss"` in the query's `results`
+//! paths, so an ASYNC statement after a sync one (or vice versa) of the
+//! same (model, β, horizon, method) reuses the derived partition plan
+//! instead of re-running the pilot. On a plan-cache **miss**, a
+//! submission does *not* run the pilot synchronously: plan derivation is
+//! scheduled as the query's first slice (single-flight across concurrent
+//! cold submissions), recorded as `"miss"` in the query's `results`
 //! provenance. [`Session::diagnostics`] surfaces the cache and pool
 //! counters.
 
@@ -56,11 +44,8 @@ use crate::durability::{
     intern_provenance, rebuild_spec, Durability, SessionWal, WalSessionConfig,
 };
 use crate::engine::{Database, DbError};
-use crate::proc::{
-    arg_f64, arg_i64, arg_text, results_schema, seed_default_models, Method, ModelRegistry,
-    PlanContext, ProcRegistry, StoredProcedure,
-};
-use crate::sql::{is_dialect, parse_dialect, DialectStatement, ExecResult};
+use crate::proc::{results_schema, seed_default_models, ModelRegistry, PlanContext, ProcRegistry};
+use crate::sql::{execute_statement, parse_with, ExecResult, Statement};
 use crate::value::Value;
 use mlss_core::estimator::Diagnostics;
 use mlss_core::plan_cache::{CachedPlan, PlanCache};
@@ -69,7 +54,7 @@ use mlss_core::ranking::RaceOutcome;
 use mlss_core::rng::{rng_from_seed, split_rng};
 use mlss_core::scheduler::{DurabilityHook, QueryId, QueryStatus, Scheduler, SchedulerConfig};
 use mlss_core::shard_store::ShardStore;
-use mlss_core::spec::{ExecMode, QuerySpec, RankSpec};
+use mlss_core::spec::{QuerySpec, RankSpec};
 use mlss_store::{Record, ResultRow};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -127,7 +112,7 @@ impl Default for SessionConfig {
 }
 
 /// Submission metadata retained for the `results` row a done query
-/// produces on its first successful poll.
+/// produces on its first [`Session::wait`] (or [`Session::prune`]).
 struct SubmitMeta {
     model: String,
     method: String,
@@ -135,8 +120,8 @@ struct SubmitMeta {
     horizon: i64,
     /// Plan provenance (`"hit"`/`"miss"`/`"none"`) captured at submit
     /// time (`"miss"` means plan derivation was scheduled as the query's
-    /// first slice), surfaced in the query's `results` row on the first
-    /// successful poll.
+    /// first slice), surfaced in the query's `results` row once the
+    /// query is recorded.
     plan_source: &'static str,
     /// Shard-store provenance (`"cold"`/`"warm"`/`"stored"`/`"none"`)
     /// captured at submit time, surfaced alongside `plan_source`.
@@ -197,8 +182,7 @@ fn record_submit_meta(
 }
 
 /// A serving session: an embedded database plus a shared scheduler, plan
-/// cache, model registry, and procedure registry (the built-ins plus
-/// `mlss_submit`/`mlss_poll`/`mlss_cancel`).
+/// cache, shard store, model registry, and procedure registry.
 pub struct Session {
     db: Arc<Database>,
     scheduler: Arc<Scheduler>,
@@ -206,7 +190,7 @@ pub struct Session {
     store: Option<Arc<ShardStore>>,
     models: Arc<ModelRegistry>,
     registry: ProcRegistry,
-    meta: Arc<MetaMap>,
+    meta: MetaMap,
     rank_meta: RankMap,
     rng: Mutex<SimRng>,
     wal: Option<Arc<SessionWal>>,
@@ -362,29 +346,8 @@ impl Session {
             scheduler.attach_durability_hook(Arc::clone(sw) as Arc<dyn DurabilityHook>);
         }
 
-        let meta: Arc<MetaMap> = Arc::new(Mutex::new(BTreeMap::new()));
-        let mut registry = ProcRegistry::with_builtins_shared(
-            Arc::clone(&plans),
-            Arc::clone(&models),
-            store.clone(),
-            wal.clone(),
-        );
-        registry.register(Box::new(MlssSubmit {
-            scheduler: Arc::clone(&scheduler),
-            plans: Arc::clone(&plans),
-            store: store.clone(),
-            meta: Arc::clone(&meta),
-            models: Arc::clone(&models),
-            wal: wal.clone(),
-        }));
-        registry.register(Box::new(MlssPoll {
-            scheduler: Arc::clone(&scheduler),
-            plans: Arc::clone(&plans),
-            meta: Arc::clone(&meta),
-        }));
-        registry.register(Box::new(MlssCancel {
-            scheduler: Arc::clone(&scheduler),
-        }));
+        let meta: MetaMap = Mutex::new(BTreeMap::new());
+        let registry = ProcRegistry::with_models(Arc::clone(&models));
 
         // Resubmit interrupted ASYNC queries in durable-id order: warm
         // from their last checkpoint when one survived, cold from their
@@ -517,10 +480,12 @@ impl Session {
     /// * `EXPLAIN ESTIMATE …` → `(property, value)` rows of the resolved
     ///   plan;
     /// * `SHOW MODELS` → the model catalog with per-parameter schemas;
-    /// * anything else → the plain SQL executor.
+    /// * `SELECT`/`INSERT`/`CREATE`/`DELETE`/`DROP` → the plain SQL
+    ///   executor.
     ///
-    /// Malformed dialect statements fail with [`DbError::Spec`] carrying
-    /// the typed [`mlss_core::spec::SpecError`] and its byte span.
+    /// Malformed statements of either kind fail with [`DbError::Spec`]
+    /// carrying the typed [`mlss_core::spec::SpecError`] and its byte
+    /// span.
     pub fn execute(&self, sql: &str) -> Result<ExecResult, DbError> {
         self.execute_as(None, sql)
     }
@@ -534,25 +499,11 @@ impl Session {
     /// `results` row carries the tenant in its `tenant` column
     /// (tenantless calls record `"-"`).
     pub fn execute_as(&self, tenant: Option<&str>, sql: &str) -> Result<ExecResult, DbError> {
-        if !is_dialect(sql) {
-            let res = crate::sql::execute(&self.db, sql)?;
-            // Journal mutations (CREATE/INSERT/DELETE/DROP) so a
-            // recovered session restores user tables. Appended *after*
-            // the successful execute — a failed statement must not be
-            // replayed — which leaves an at-most-once-behind window for
-            // the very last statement (see `SessionWal::record_sql`).
-            if !matches!(res, ExecResult::Rows { .. }) {
-                if let Some(wal) = &self.wal {
-                    wal.record_sql(sql)?;
-                }
-            }
-            return Ok(res);
-        }
         let schemas = self.models.schemas();
-        let stmt = parse_dialect(sql, Some(&schemas)).map_err(DbError::from)?;
+        let stmt = parse_with(sql, Some(&schemas))?;
         match stmt {
-            DialectStatement::ShowModels => Ok(show_models(&self.models)),
-            DialectStatement::ShowDiagnostics => {
+            Statement::ShowModels => Ok(show_models(&self.models)),
+            Statement::ShowDiagnostics => {
                 let rows = self
                     .diagnostics()
                     .into_iter()
@@ -572,7 +523,7 @@ impl Session {
                     rows,
                 })
             }
-            DialectStatement::ExplainEstimate(spec) => {
+            Statement::ExplainEstimate(spec) => {
                 let mut rng = self.child_rng();
                 let rows = explain_spec(
                     &self.db,
@@ -591,7 +542,7 @@ impl Session {
                         .collect(),
                 })
             }
-            DialectStatement::ExplainRank(rank) => {
+            Statement::ExplainRank(rank) => {
                 let mut rng = self.child_rng();
                 let rows = explain_rank(
                     &self.db,
@@ -609,7 +560,7 @@ impl Session {
                         .collect(),
                 })
             }
-            DialectStatement::Rank(mut rank) => {
+            Statement::Rank(mut rank) => {
                 // Tenant stamping mirrors the single-estimate path: the
                 // race itself is charged to the tenant's fair-share
                 // account, and every per-arm results row carries it.
@@ -654,7 +605,7 @@ impl Session {
                     }
                 }
             }
-            DialectStatement::Estimate(mut spec) => {
+            Statement::Estimate(mut spec) => {
                 spec.options.tenant = tenant.map(String::from);
                 let mut rng = self.child_rng();
                 match execute_spec(
@@ -713,29 +664,21 @@ impl Session {
                     }
                 }
             }
+            plain => {
+                let res = execute_statement(&self.db, plain)?;
+                // Journal mutations (CREATE/INSERT/DELETE/DROP) so a
+                // recovered session restores user tables. Appended *after*
+                // the successful execute — a failed statement must not be
+                // replayed — which leaves an at-most-once-behind window for
+                // the very last statement (see `SessionWal::record_sql`).
+                if !matches!(res, ExecResult::Rows { .. }) {
+                    if let Some(wal) = &self.wal {
+                        wal.record_sql(sql)?;
+                    }
+                }
+                Ok(res)
+            }
         }
-    }
-
-    /// Submit an estimation query; returns its id immediately.
-    pub fn submit(
-        &self,
-        model: &str,
-        method: &str,
-        beta: f64,
-        horizon: i64,
-        target_re: f64,
-        priority: u8,
-    ) -> Result<QueryId, DbError> {
-        let args = [
-            Value::Text(model.to_string()),
-            Value::Text(method.to_string()),
-            Value::Float(beta),
-            Value::Int(horizon),
-            Value::Float(target_re),
-            Value::Int(priority as i64),
-        ];
-        let id = self.call("mlss_submit", &args)?;
-        Ok(id.as_i64().expect("mlss_submit returns an id") as QueryId)
     }
 
     /// Current status of a submitted query.
@@ -744,9 +687,8 @@ impl Session {
     }
 
     /// Block until the query is terminal; records the `results` row for
-    /// completed queries (like a successful `mlss_poll`, and with the
-    /// same error behavior: a failed insert surfaces instead of silently
-    /// dropping the row). `Ok(None)` means the id is unknown.
+    /// completed queries, exactly once (a failed insert surfaces instead
+    /// of silently dropping the row). `Ok(None)` means the id is unknown.
     pub fn wait(&self, id: QueryId) -> Result<Option<QueryStatus>, DbError> {
         let Some(status) = self.scheduler.wait(id) else {
             return Ok(None);
@@ -908,7 +850,7 @@ impl Session {
     }
 
     /// Evict terminal queries from the scheduler and drop their recorded
-    /// submission metadata. Completed-but-never-polled queries are
+    /// submission metadata. Completed-but-never-waited queries are
     /// **recorded first** — eviction must not lose a result a client
     /// never got to see; it lands in `results` like any other. Evicted
     /// ids become unknown to `poll`/`wait`. Returns the number of
@@ -1029,138 +971,11 @@ fn record_result(
     Ok(())
 }
 
-/// `mlss_submit(model, method, beta, horizon, target_re [, priority [, seed]])`
-/// — the positional shim over the async spec dispatch path.
-struct MlssSubmit {
-    scheduler: Arc<Scheduler>,
-    plans: Arc<PlanCache>,
-    store: Option<Arc<ShardStore>>,
-    meta: Arc<MetaMap>,
-    models: Arc<ModelRegistry>,
-    wal: Option<Arc<SessionWal>>,
-}
-
-impl StoredProcedure for MlssSubmit {
-    fn name(&self) -> &str {
-        "mlss_submit"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (5, 7)
-    }
-
-    fn execute(&self, db: &Database, args: &[Value], rng: &mut SimRng) -> Result<Value, DbError> {
-        let proc_ = self.name();
-        let mut spec = QuerySpec::new(
-            arg_text(proc_, args, 0)?,
-            arg_f64(proc_, args, 2)?,
-            arg_i64(proc_, args, 3)?.max(0) as u64,
-            arg_f64(proc_, args, 4)?,
-        );
-        spec.method = Method::parse(arg_text(proc_, args, 1)?).map_err(DbError::from)?;
-        if arg_i64(proc_, args, 3)? < 1 {
-            return Err(DbError::Proc("horizon must be ≥ 1".into()));
-        }
-        if !(spec.target_re.is_finite() && spec.target_re > 0.0) {
-            return Err(DbError::Proc("target_re must be positive".into()));
-        }
-        if args.get(5).is_some() {
-            let p = arg_i64(proc_, args, 5)?;
-            if !(0..=255).contains(&p) {
-                return Err(DbError::Proc("priority must be in 0..=255".into()));
-            }
-            spec.options.priority = p as u8;
-        }
-        if args.get(6).is_some() {
-            spec.options.seed = Some(arg_i64(proc_, args, 6)? as u64);
-        }
-        spec.options.mode = ExecMode::Async;
-
-        match execute_spec(
-            db,
-            &self.models,
-            &self.plans,
-            self.store.as_ref(),
-            Some(&self.scheduler),
-            self.wal.as_deref(),
-            &spec,
-            rng,
-        )? {
-            SpecOutcome::Submitted {
-                id,
-                plan_source,
-                shard_reuse,
-                fingerprint,
-                ..
-            } => {
-                record_submit_meta(&self.meta, id, &spec, plan_source, shard_reuse, fingerprint);
-                Ok(Value::Int(id as i64))
-            }
-            SpecOutcome::Estimated { .. } => unreachable!("async spec cannot estimate inline"),
-        }
-    }
-}
-
-/// `mlss_poll(id)` — `τ̂` (float) once done, else a status string.
-struct MlssPoll {
-    scheduler: Arc<Scheduler>,
-    plans: Arc<PlanCache>,
-    meta: Arc<MetaMap>,
-}
-
-impl StoredProcedure for MlssPoll {
-    fn name(&self) -> &str {
-        "mlss_poll"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (1, 1)
-    }
-
-    fn execute(&self, db: &Database, args: &[Value], _rng: &mut SimRng) -> Result<Value, DbError> {
-        let id = arg_i64(self.name(), args, 0)? as QueryId;
-        let status = self
-            .scheduler
-            .poll(id)
-            .ok_or_else(|| DbError::Proc(format!("unknown query id {id}")))?;
-        Ok(match status {
-            QueryStatus::Done(est) => {
-                record_result(db, &self.meta, &self.scheduler, &self.plans, id, &est)?;
-                Value::Float(est.tau)
-            }
-            QueryStatus::Queued => Value::Text("queued".into()),
-            QueryStatus::Running => Value::Text("running".into()),
-            QueryStatus::Paused => Value::Text("paused".into()),
-            QueryStatus::Cancelled => Value::Text("cancelled".into()),
-            QueryStatus::Failed(msg) => Value::Text(format!("failed: {msg}")),
-        })
-    }
-}
-
-/// `mlss_cancel(id)` — 1 if the cancellation took effect, else 0.
-struct MlssCancel {
-    scheduler: Arc<Scheduler>,
-}
-
-impl StoredProcedure for MlssCancel {
-    fn name(&self) -> &str {
-        "mlss_cancel"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (1, 1)
-    }
-
-    fn execute(&self, _db: &Database, args: &[Value], _rng: &mut SimRng) -> Result<Value, DbError> {
-        let id = arg_i64(self.name(), args, 0)? as QueryId;
-        Ok(Value::Int(self.scheduler.cancel(id) as i64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proc::results_count;
+    use mlss_core::spec::{SpecError, SpecErrorKind};
 
     fn session() -> Session {
         Session::new(SessionConfig {
@@ -1172,72 +987,41 @@ mod tests {
         .unwrap()
     }
 
-    fn submit_args(model: &str, method: &str, beta: f64, horizon: i64, re: f64) -> Vec<Value> {
-        vec![
-            model.into(),
-            method.into(),
-            beta.into(),
-            Value::Int(horizon),
-            re.into(),
-        ]
+    /// `ESTIMATE DURABILITY OF {model}(beta={beta}) WITHIN {horizon}
+    /// USING {method} TARGET RE {re}` plus a `tail` (e.g. `ASYNC`).
+    fn estimate_sql(
+        model: &str,
+        method: &str,
+        beta: f64,
+        horizon: u64,
+        re: f64,
+        tail: &str,
+    ) -> String {
+        format!(
+            "ESTIMATE DURABILITY OF {model}(beta={beta}) WITHIN {horizon} \
+             USING {method} TARGET RE {re} {tail}"
+        )
     }
 
-    #[test]
-    fn registry_lists_session_procs() {
-        let s = session();
-        let names: Vec<String> = s.registry.names().iter().map(|n| n.to_string()).collect();
-        for p in ["mlss_submit", "mlss_poll", "mlss_cancel", "mlss_estimate"] {
-            assert!(names.iter().any(|n| n == p), "missing proc {p}");
-        }
+    /// Run a sync `ESTIMATE` and return its τ̂.
+    fn estimate(s: &Session, model: &str, method: &str, beta: f64, horizon: u64, re: f64) -> f64 {
+        let res = s
+            .execute(&estimate_sql(model, method, beta, horizon, re, ""))
+            .unwrap_or_else(|e| panic!("{model}/{method}: {e}"));
+        res.rows()[0][2].as_f64().unwrap()
     }
 
-    #[test]
-    fn submit_poll_roundtrip_records_result() {
-        let s = session();
-        let id = s
-            .call("mlss_submit", &submit_args("walk", "srs", 6.0, 50, 0.3))
-            .unwrap()
-            .as_i64()
-            .unwrap() as QueryId;
-        // Poll until done; the first done-poll returns τ̂ and records it.
-        let tau = loop {
-            match s.call("mlss_poll", &[Value::Int(id as i64)]).unwrap() {
-                Value::Float(tau) => break tau,
-                Value::Text(status) => {
-                    assert!(
-                        matches!(status.as_str(), "queued" | "running"),
-                        "unexpected status {status}"
-                    );
-                    std::thread::yield_now();
-                }
-                other => panic!("unexpected poll result {other:?}"),
-            }
-        };
-        assert!((0.0..=1.0).contains(&tau));
-        assert_eq!(results_count(s.db()).unwrap(), 1);
-        // Polling again must not duplicate the results row.
-        let again = s.call("mlss_poll", &[Value::Int(id as i64)]).unwrap();
-        assert!(matches!(again, Value::Float(_)));
-        assert_eq!(results_count(s.db()).unwrap(), 1);
-        // Prune evicts the consumed query; the results row survives.
-        assert_eq!(s.prune().unwrap(), 1);
-        assert!(s.poll(id).is_none());
-        assert_eq!(results_count(s.db()).unwrap(), 1);
+    /// Run an `… ASYNC` statement and return its query id.
+    fn submit(s: &Session, model: &str, method: &str, beta: f64, horizon: u64, re: f64) -> QueryId {
+        let res = s
+            .execute(&estimate_sql(model, method, beta, horizon, re, "ASYNC"))
+            .unwrap();
+        res.scalar().unwrap().as_i64().unwrap() as QueryId
     }
 
-    #[test]
-    fn polled_results_surface_plan_cache_provenance() {
-        let s = session();
-        // First gmlss submit schedules the pilot as its first slice
-        // (miss), the second reuses the plan (hit); SRS needs no plan.
-        let a = s.submit("ar", "gmlss", 3.0, 40, 0.5, 0).unwrap();
-        s.wait(a).unwrap().unwrap();
-        let b = s.submit("ar", "gmlss", 3.0, 40, 0.5, 0).unwrap();
-        s.wait(b).unwrap().unwrap();
-        let c = s.submit("walk", "srs", 6.0, 50, 0.5, 0).unwrap();
-        s.wait(c).unwrap().unwrap();
-        let rows: Vec<(String, String)> = s
-            .db()
+    /// `(plan_cache, shard_reuse)` of every `results` row, in order.
+    fn provenance(s: &Session) -> Vec<(String, String)> {
+        s.db()
             .with_table("results", |t| {
                 t.scan()
                     .map(|row| {
@@ -1248,7 +1032,238 @@ mod tests {
                     })
                     .collect()
             })
+            .unwrap()
+    }
+
+    #[test]
+    fn estimate_srs_and_mlss_agree() {
+        let s = session();
+        // Loose 25% RE keeps the test fast; queue β=8, s=100.
+        let tau_srs = estimate(&s, "queue", "srs", 8.0, 100, 0.25);
+        let tau_mlss = estimate(&s, "queue", "mlss", 8.0, 100, 0.25);
+        assert!(tau_srs > 0.0 && tau_mlss > 0.0);
+        let rel = (tau_srs - tau_mlss).abs() / tau_srs;
+        assert!(rel < 1.0, "srs {tau_srs} vs mlss {tau_mlss}");
+        assert_eq!(results_count(s.db()).unwrap(), 2);
+    }
+
+    #[test]
+    fn new_methods_and_models_estimate() {
+        let s = session();
+        // Every (model, method) pair below must produce a probability.
+        // Note: s-MLSS is paired with a continuous-state model (AR). On
+        // coarse discrete scores a balanced plan can create levels no
+        // state value lands in; s-MLSS then never advances — the paper's
+        // §6.2 "blindly applied s-MLSS" failure, reproduced in
+        // tests/volatile_bias.rs. g-MLSS/auto handle those via skips.
+        let cases: Vec<(&str, &str, f64, u64)> = vec![
+            ("walk", "srs", 5.0, 50),
+            ("walk", "auto", 5.0, 50),
+            ("markov", "srs", 5.0, 50),
+            ("ar", "smlss", 3.0, 40),
+            ("ar", "gmlss", 3.0, 40),
+            ("network", "auto", 5.0, 60),
+            ("volatile", "mlss", 25.0, 80),
+            ("gbm", "srs", 550.0, 30),
+        ];
+        let n_cases = cases.len() as i64;
+        for (model, method, beta, horizon) in cases {
+            let tau = estimate(&s, model, method, beta, horizon, 0.5);
+            assert!(
+                (0.0..=1.0).contains(&tau),
+                "{model}/{method}: τ̂={tau} out of range"
+            );
+        }
+        assert_eq!(results_count(s.db()).unwrap(), n_cases);
+    }
+
+    #[test]
+    fn threads_option_routes_through_parallel_driver() {
+        let s = session();
+        let res = s
+            .execute(&estimate_sql(
+                "walk",
+                "srs",
+                6.0,
+                60,
+                0.3,
+                "WITH (threads=2)",
+            ))
             .unwrap();
+        assert!((0.0..=1.0).contains(&res.rows()[0][2].as_f64().unwrap()));
+        let explain = s
+            .execute(&format!(
+                "EXPLAIN {}",
+                estimate_sql("walk", "srs", 6.0, 60, 0.3, "WITH (threads=2)")
+            ))
+            .unwrap();
+        assert!(explain
+            .rows()
+            .iter()
+            .any(|r| r[0].as_str() == Some("driver") && r[1].as_str() != Some("sequential")));
+        // Bad thread counts are rejected with a spanned value error.
+        let sql = estimate_sql("walk", "srs", 6.0, 60, 0.3, "WITH (threads=0)");
+        match s.execute(&sql) {
+            Err(DbError::Spec(SpecError {
+                kind:
+                    SpecErrorKind::InvalidValue {
+                        field: "threads", ..
+                    },
+                span: Some(span),
+            })) => assert_eq!(&sql[span.start..span.end], "0"),
+            other => panic!("expected a threads error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn estimate_validates_method_and_model() {
+        let s = session();
+        for (sync_or_async, tail) in [("sync", ""), ("async", "ASYNC")] {
+            assert!(
+                matches!(
+                    s.execute(&estimate_sql("queue", "nope", 8.0, 10, 0.5, tail)),
+                    Err(DbError::Spec(SpecError {
+                        kind: SpecErrorKind::UnknownMethod { .. },
+                        ..
+                    }))
+                ),
+                "{sync_or_async}"
+            );
+            assert!(
+                matches!(
+                    s.execute(&estimate_sql("mystery", "srs", 8.0, 10, 0.5, tail)),
+                    Err(DbError::Spec(SpecError {
+                        kind: SpecErrorKind::UnknownModel { .. },
+                        ..
+                    }))
+                ),
+                "{sync_or_async}"
+            );
+        }
+        // Unknown query ids are unknown to every lifecycle call.
+        assert!(s.poll(404).is_none());
+        assert!(s.wait(404).unwrap().is_none());
+        assert!(!s.cancel(404));
+        assert_eq!(results_count(s.db()).unwrap_or(0), 0);
+    }
+
+    #[test]
+    fn repeated_estimates_hit_the_plan_cache() {
+        let s = session();
+        for _ in 0..3 {
+            let tau = estimate(&s, "ar", "gmlss", 3.0, 40, 0.5);
+            assert!((0.0..=1.0).contains(&tau));
+        }
+        assert_eq!(
+            s.plan_cache().misses(),
+            1,
+            "one pilot for three identical queries"
+        );
+        assert_eq!(s.plan_cache().hits(), 2);
+        // A different β is a different fingerprint → new entry.
+        estimate(&s, "ar", "gmlss", 4.0, 40, 0.5);
+        assert_eq!(s.plan_cache().misses(), 2);
+    }
+
+    #[test]
+    fn results_rows_record_plan_cache_provenance() {
+        // No shard store: every row's shard_reuse says so.
+        let s = Session::new(SessionConfig {
+            workers: 1,
+            seed: 31,
+            shard_store_capacity: 0,
+            ..SessionConfig::default()
+        })
+        .unwrap();
+        // SRS needs no plan; first gmlss misses; second gmlss hits.
+        for (model, method) in [("walk", "srs"), ("ar", "gmlss"), ("ar", "gmlss")] {
+            estimate(&s, model, method, 3.0, 40, 0.5);
+        }
+        let rows = provenance(&s);
+        let sources: Vec<&str> = rows.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(sources, vec!["none", "miss", "hit"]);
+        assert!(rows.iter().all(|(_, r)| r == "none"), "{rows:?}");
+    }
+
+    #[test]
+    fn async_roundtrip_records_one_result() {
+        let s = session();
+        let id = submit(&s, "walk", "srs", 6.0, 50, 0.3);
+        // Poll until terminal: only lifecycle states along the way.
+        loop {
+            match s.poll(id).expect("known id") {
+                QueryStatus::Done(_) => break,
+                QueryStatus::Queued | QueryStatus::Running => std::thread::yield_now(),
+                other => panic!("unexpected status {other:?}"),
+            }
+        }
+        assert_eq!(
+            results_count(s.db()).unwrap_or(0),
+            0,
+            "poll does not record"
+        );
+        // The first wait records the row; waiting again must not
+        // duplicate it.
+        let tau = s.wait(id).unwrap().unwrap().estimate().unwrap().tau;
+        assert!((0.0..=1.0).contains(&tau));
+        assert_eq!(results_count(s.db()).unwrap(), 1);
+        assert!(s.wait(id).unwrap().unwrap().estimate().is_some());
+        assert_eq!(results_count(s.db()).unwrap(), 1);
+        // Prune evicts the consumed query; the results row survives.
+        assert_eq!(s.prune().unwrap(), 1);
+        assert!(s.poll(id).is_none());
+        assert_eq!(results_count(s.db()).unwrap(), 1);
+    }
+
+    #[test]
+    fn seeds_make_statements_reproducible() {
+        let open = |seed| {
+            Session::new(SessionConfig {
+                workers: 1,
+                seed,
+                ..SessionConfig::default()
+            })
+            .unwrap()
+        };
+        // τ̂ bits of a sync statement's row, or of an ASYNC one's result.
+        let tau_bits = |s: &Session, sql: &str| {
+            let res = s.execute(sql).unwrap();
+            if !sql.ends_with("ASYNC") {
+                return res.rows()[0][2].as_f64().unwrap().to_bits();
+            }
+            let id = res.scalar().unwrap().as_i64().unwrap() as QueryId;
+            s.wait(id)
+                .unwrap()
+                .unwrap()
+                .estimate()
+                .unwrap()
+                .tau
+                .to_bits()
+        };
+        // A pinned seed wins over the session seed, sync and ASYNC (a
+        // priority riding along in the same WITH clause).
+        for tail in ["WITH (seed=777)", "WITH (priority=3, seed=777) ASYNC"] {
+            let sql = estimate_sql("walk", "srs", 6.0, 50, 0.3, tail);
+            assert_eq!(tau_bits(&open(1), &sql), tau_bits(&open(2), &sql), "{tail}");
+        }
+        // Unpinned, the query seed is drawn from the session stream: the
+        // same session seed and call order draw the same one.
+        let sql = estimate_sql("walk", "srs", 6.0, 50, 0.3, "ASYNC");
+        assert_eq!(tau_bits(&open(314), &sql), tau_bits(&open(314), &sql));
+    }
+
+    #[test]
+    fn polled_results_surface_plan_cache_provenance() {
+        let s = session();
+        // First gmlss submit schedules the pilot as its first slice
+        // (miss), the second reuses the plan (hit); SRS needs no plan.
+        let a = submit(&s, "ar", "gmlss", 3.0, 40, 0.5);
+        s.wait(a).unwrap().unwrap();
+        let b = submit(&s, "ar", "gmlss", 3.0, 40, 0.5);
+        s.wait(b).unwrap().unwrap();
+        let c = submit(&s, "walk", "srs", 6.0, 50, 0.5);
+        s.wait(c).unwrap().unwrap();
+        let rows = provenance(&s);
         let sources: Vec<&str> = rows.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(sources, vec!["miss", "hit", "none"]);
         // Shard-store provenance rides alongside: the first gmlss run is
@@ -1260,41 +1275,24 @@ mod tests {
 
     #[test]
     fn cold_submit_returns_before_the_pilot_runs() {
-        // The carried-over ROADMAP item: a cold ASYNC submission must not
-        // pay the pilot synchronously. With a paused-capacity scheduler
-        // (workers busy elsewhere is hard to stage; instead check the
-        // cache is still cold right after submit returns).
+        // A cold ASYNC submission must not pay the pilot synchronously:
+        // the miss is only counted when the first slice derives the plan,
+        // and the results row records it as a deferred miss.
         let s = session();
-        let id = s.submit("ar", "gmlss", 3.5, 40, 0.4, 0).unwrap();
-        // Submit returned; the pilot may not have started yet. The miss
-        // is only counted when the first slice derives the plan.
-        // (We can't assert misses()==0 without racing the pool, but we
-        // can assert the submit path itself recorded a deferred miss.)
+        let id = submit(&s, "ar", "gmlss", 3.5, 40, 0.4);
         let est = s.wait(id).unwrap().unwrap();
         assert!(est.estimate().is_some());
         assert_eq!(s.plan_cache().misses(), 1, "first slice ran the pilot");
-        let sources: Vec<String> = s
-            .db()
-            .with_table("results", |t| {
-                t.scan()
-                    .map(|row| row[9].as_str().unwrap().to_string())
-                    .collect()
-            })
-            .unwrap();
+        let sources: Vec<String> = provenance(&s).into_iter().map(|(p, _)| p).collect();
         assert_eq!(sources, vec!["miss"]);
     }
 
     #[test]
     fn prune_records_unpolled_completions_before_evicting() {
         let s = session();
-        let id = s.submit("walk", "srs", 6.0, 50, 0.3, 0).unwrap();
-        // Let it finish without ever polling…
-        while !s
-            .scheduler()
-            .poll(id)
-            .map(|st| st.is_terminal())
-            .unwrap_or(false)
-        {
+        let id = submit(&s, "walk", "srs", 6.0, 50, 0.3);
+        // Let it finish without ever waiting…
+        while !s.poll(id).map(|st| st.is_terminal()).unwrap_or(false) {
             std::thread::yield_now();
         }
         assert_eq!(results_count(s.db()).unwrap_or(0), 0, "not yet recorded");
@@ -1309,13 +1307,9 @@ mod tests {
         let s = session();
         // Same (model, β, horizon, method) four times: one pilot (the
         // deferred builds are single-flight), the rest cache hits.
-        let mut ids = Vec::new();
-        for _ in 0..4 {
-            ids.push(
-                s.submit("ar", "gmlss", 3.0, 40, 0.5, 0)
-                    .expect("submit succeeds"),
-            );
-        }
+        let ids: Vec<QueryId> = (0..4)
+            .map(|_| submit(&s, "ar", "gmlss", 3.0, 40, 0.5))
+            .collect();
         for id in ids {
             let status = s.wait(id).unwrap().unwrap();
             let est = status.estimate().expect("queries complete");
@@ -1336,23 +1330,19 @@ mod tests {
     #[test]
     fn synchronous_and_scheduled_paths_share_plans() {
         let s = session();
-        // Synchronous estimate derives and caches the plan…
-        let tau = s
-            .call("mlss_estimate", &submit_args("ar", "gmlss", 3.0, 40, 0.5))
-            .unwrap()
-            .as_f64()
-            .unwrap();
+        // A synchronous estimate derives and caches the plan…
+        let tau = estimate(&s, "ar", "gmlss", 3.0, 40, 0.5);
         assert!((0.0..=1.0).contains(&tau));
         assert_eq!(s.plan_cache().misses(), 1);
         // …and the scheduled path reuses it.
-        let id = s.submit("ar", "gmlss", 3.0, 40, 0.5, 0).unwrap();
+        let id = submit(&s, "ar", "gmlss", 3.0, 40, 0.5);
         assert!(s.wait(id).unwrap().unwrap().estimate().is_some());
         assert_eq!(s.plan_cache().misses(), 1);
         assert!(s.plan_cache().hits() >= 1);
     }
 
     #[test]
-    fn cancel_via_proc() {
+    fn cancel_an_async_query() {
         let s = Session::new(SessionConfig {
             workers: 1,
             slice_budget: 4_096,
@@ -1361,57 +1351,32 @@ mod tests {
         })
         .unwrap();
         // Tight target ⇒ long-running query we can cancel.
-        let id = s.submit("walk", "srs", 6.0, 60, 0.01, 0).unwrap();
-        let cancelled = s
-            .call("mlss_cancel", &[Value::Int(id as i64)])
-            .unwrap()
-            .as_i64()
-            .unwrap();
-        assert_eq!(cancelled, 1);
+        let id = submit(&s, "walk", "srs", 6.0, 60, 0.01);
+        assert!(s.cancel(id));
         loop {
-            match s.call("mlss_poll", &[Value::Int(id as i64)]).unwrap() {
-                Value::Text(status) if status == "cancelled" => break,
-                Value::Text(status) => {
-                    assert!(matches!(status.as_str(), "queued" | "running"));
-                    std::thread::yield_now();
-                }
+            match s.poll(id).expect("known id") {
+                QueryStatus::Cancelled => break,
+                QueryStatus::Queued | QueryStatus::Running => std::thread::yield_now(),
                 other => panic!("cancelled query produced {other:?}"),
             }
         }
-        // Cancelling a terminal query reports 0.
-        let again = s
-            .call("mlss_cancel", &[Value::Int(id as i64)])
-            .unwrap()
-            .as_i64()
-            .unwrap();
-        assert_eq!(again, 0);
+        // Cancelling a terminal query reports false.
+        assert!(!s.cancel(id));
+        assert!(matches!(s.wait(id).unwrap(), Some(QueryStatus::Cancelled)));
         assert_eq!(results_count(s.db()).unwrap_or(0), 0);
     }
 
     #[test]
-    fn submit_validates_arguments() {
+    fn malformed_plain_sql_fails_with_spanned_spec_errors() {
         let s = session();
-        // Unknown method.
-        assert!(s
-            .call("mlss_submit", &submit_args("walk", "nope", 6.0, 50, 0.3))
-            .is_err());
-        // Wrong arity.
-        assert!(matches!(
-            s.call(
-                "mlss_submit",
-                &submit_args("walk", "srs", 6.0, 50, 0.3)[..2]
-            ),
-            Err(DbError::ProcArity { .. })
-        ));
-        // Wrong arg type.
-        let mut bad = submit_args("walk", "srs", 6.0, 50, 0.3);
-        bad[0] = Value::Int(7);
-        assert!(matches!(
-            s.call("mlss_submit", &bad),
-            Err(DbError::ProcArgType { index: 0, .. })
-        ));
-        // Unknown poll id.
-        assert!(s.call("mlss_poll", &[Value::Int(404)]).is_err());
+        let sql = "SELECT model FROM results WHERE tau >< 1";
+        match s.execute(sql) {
+            Err(DbError::Spec(e)) => {
+                let span = e.span.unwrap();
+                assert_eq!(&sql[span.start..span.end], "<");
+            }
+            other => panic!("expected Spec error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::engine::{Database, DbError};
 use crate::schema::{ColumnDef, Schema};
-use crate::sql::parser::{parse, Projection, SelectStmt, Statement};
+use crate::sql::syntax::{parse, Projection, SelectStmt, Statement};
 use crate::value::Value;
 
 /// Result of executing a statement.
@@ -38,20 +38,16 @@ impl ExecResult {
 
 /// Parse and execute one SQL statement against the database.
 ///
-/// `ESTIMATE` dialect statements need an engine context (model registry,
-/// plan cache, scheduler, RNG) and are rejected here — run them through
+/// Malformed statements fail with [`DbError::Spec`] carrying the byte
+/// span of the offending token. `ESTIMATE` dialect statements need an
+/// engine context (model registry, plan cache, scheduler, RNG) and are
+/// rejected here — run them through
 /// [`crate::session::Session::execute`].
 pub fn execute(db: &Database, sql: &str) -> Result<ExecResult, DbError> {
-    if crate::sql::estimate::is_dialect(sql) {
-        return Err(DbError::Proc(
-            "ESTIMATE/EXPLAIN/SHOW statements require a session (use Session::execute)".into(),
-        ));
-    }
-    let stmt = parse(sql).map_err(|e| DbError::Proc(e.to_string()))?;
-    execute_statement(db, stmt)
+    execute_statement(db, parse(sql)?)
 }
 
-/// Execute a parsed statement.
+/// Execute a parsed plain-SQL statement.
 pub fn execute_statement(db: &Database, stmt: Statement) -> Result<ExecResult, DbError> {
     match stmt {
         Statement::Select(s) => select(db, s),
@@ -89,6 +85,14 @@ pub fn execute_statement(db: &Database, stmt: Statement) -> Result<ExecResult, D
             db.drop_table(&table)?;
             Ok(ExecResult::Ok)
         }
+        Statement::Estimate(_)
+        | Statement::ExplainEstimate(_)
+        | Statement::Rank(_)
+        | Statement::ExplainRank(_)
+        | Statement::ShowModels
+        | Statement::ShowDiagnostics => Err(DbError::Proc(
+            "ESTIMATE/EXPLAIN/SHOW statements require a session (use Session::execute)".into(),
+        )),
     }
 }
 

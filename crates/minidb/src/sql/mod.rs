@@ -1,19 +1,17 @@
-//! A small SQL front end for the embedded engine: tokenizer, recursive-
-//! descent parser, and executor for `SELECT` (with `WHERE`, `ORDER BY`,
-//! `LIMIT`, aggregates), `INSERT`, `CREATE TABLE`, `DELETE`, and
-//! `DROP TABLE`, plus the declarative **ESTIMATE dialect** ([`estimate`]:
-//! `ESTIMATE DURABILITY …`, `EXPLAIN ESTIMATE …`, `SHOW MODELS`). Enough
-//! surface to drive the §6.4 pipeline the way the paper drove PostgreSQL.
+//! The SQL front end for the embedded engine: one spanned lexer and one
+//! recursive-descent parser ([`syntax`]) for `SELECT` (with `WHERE`,
+//! `ORDER BY`, `LIMIT`, aggregates), `INSERT`, `CREATE TABLE`, `DELETE`,
+//! `DROP TABLE`, and the declarative **ESTIMATE dialect**
+//! (`ESTIMATE DURABILITY …`, `EXPLAIN ESTIMATE …`, `SHOW MODELS`,
+//! `SHOW DIAGNOSTICS`), producing one [`Statement`]. Enough surface to
+//! drive the §6.4 pipeline the way the paper drove PostgreSQL.
 //!
 //! Plain statements execute through [`execute`]; dialect statements need
 //! an engine context (model registry, plan cache, scheduler, RNG) and run
 //! through [`crate::session::Session::execute`].
 
-pub mod estimate;
 pub mod exec;
-pub mod lexer;
-pub mod parser;
+pub mod syntax;
 
-pub use estimate::{is_dialect, parse_dialect, DialectStatement};
 pub use exec::{execute, execute_statement, ExecResult};
-pub use parser::{parse, Statement};
+pub use syntax::{is_dialect, parse, parse_dialect, parse_with, Projection, SelectStmt, Statement};

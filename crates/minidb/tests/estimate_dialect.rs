@@ -4,12 +4,12 @@
 
 use mlss_core::rng::{rng_from_seed, SimRng};
 use mlss_core::spec::{ExecMode, Method, QuerySpec, SpecErrorKind};
-use mlss_db::{parse_dialect, DialectStatement, ModelRegistry};
+use mlss_db::{parse_dialect, ModelRegistry, Statement};
 use rand::RngExt;
 
 fn parse_spec(sql: &str) -> QuerySpec {
     match parse_dialect(sql, None).unwrap_or_else(|e| panic!("{sql}\n  -> {e}")) {
-        DialectStatement::Estimate(s) => s,
+        Statement::Estimate(s) => s,
         other => panic!("expected Estimate, got {other:?}"),
     }
 }
@@ -90,7 +90,7 @@ fn rendered_specs_parse_under_the_builtin_catalog() {
         let rendered = spec.render();
         let parsed = parse_dialect(&rendered, Some(&schemas))
             .unwrap_or_else(|e| panic!("{rendered}\n  -> {e}"));
-        assert_eq!(parsed, DialectStatement::Estimate(spec));
+        assert_eq!(parsed, Statement::Estimate(spec));
     }
 }
 

@@ -13,10 +13,9 @@ use mlss_core::rng::SimRng;
 use mlss_core::simd::{self, chacha, vmath};
 use rand::RngCore;
 use rand_distr::{Distribution, Poisson};
-use serde::{Deserialize, Serialize};
 
 /// Jump (claim) size distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JumpDistribution {
     /// Uniform on `[lo, hi)` — the paper's `Uni(5, 10)`.
     Uniform {
@@ -78,7 +77,7 @@ impl JumpDistribution {
 }
 
 /// The compound-Poisson surplus model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CompoundPoisson {
     /// Initial surplus `u`.
     pub initial: f64,

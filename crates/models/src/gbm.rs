@@ -10,10 +10,9 @@ use mlss_core::is::TiltableModel;
 use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use mlss_core::simd::{self, chacha, vmath};
-use serde::{Deserialize, Serialize};
 
 /// Geometric Brownian motion with per-step drift/volatility.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeometricBrownian {
     /// Initial price `S_0`.
     pub initial: f64,

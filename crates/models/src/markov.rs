@@ -9,10 +9,9 @@
 use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// A finite Markov chain with per-state scores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovChain {
     /// Row-stochastic transition matrix, `rows[i][j] = Pr[X_{t+1}=j | X_t=i]`.
     rows: Vec<Vec<f64>>,

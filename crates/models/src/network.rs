@@ -11,10 +11,9 @@
 use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// State: the number of customers at each station.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkState {
     /// Queue length (incl. in service) per station.
     pub queues: Vec<u32>,
@@ -35,7 +34,7 @@ impl NetworkState {
 
 /// A series line of single-server exponential stations fed by Poisson
 /// arrivals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesNetwork {
     /// Poisson arrival rate into station 0.
     pub arrival_rate: f64,

@@ -10,10 +10,9 @@ use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use mlss_core::simd::{self, chacha, vmath};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// A lazy integer random walk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomWalk {
     /// Probability of a +1 step.
     pub up: f64,

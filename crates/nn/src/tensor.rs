@@ -6,10 +6,8 @@
 //! small — the models here are tiny (tens of units), so clarity and
 //! testability beat BLAS.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -1,17 +1,24 @@
 //! The end-to-end in-DBMS pipeline (§6.4): model parameters in tables,
 //! durability queries asked in the declarative ESTIMATE dialect, results
-//! and sample paths materialized back into tables, everything persisted
-//! to disk and recovered.
+//! and sample paths materialized back into tables, everything journaled
+//! to a write-ahead log and recovered by reopening it.
 //!
 //! Run: `cargo run --release --example db_pipeline`
 
-use mlss_db::{col, lit, load, save, Aggregate, Session, SessionConfig, Value};
+use mlss_db::{col, lit, Aggregate, Session, SessionConfig, Value};
 
 fn main() {
-    let session = Session::new(SessionConfig {
-        seed: 1234,
-        ..SessionConfig::default()
-    })
+    // A WAL-backed session: every result row and every plain-SQL
+    // mutation is journaled to `dir` as it happens.
+    let dir = std::env::temp_dir().join(format!("mlss-db-pipeline-demo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::open(
+        &dir,
+        SessionConfig {
+            seed: 1234,
+            ..SessionConfig::default()
+        },
+    )
     .expect("open session");
     let db = session.db();
     println!("tables: {:?}", db.table_names());
@@ -140,15 +147,30 @@ fn main() {
         println!("  {} | {} | τ̂ = {}", row[0], row[1], row[2]);
     }
 
-    // 7. Persist and recover.
-    let dir = std::env::temp_dir().join("mlss-db-pipeline-demo");
-    save(db, &dir).expect("save");
-    let report = load(&dir).expect("load");
+    // 7. Recover: close the session and reopen the same log. The replay
+    //    restores the `results` rows and re-executes the journaled plain
+    //    SQL, so user tables come back too.
+    session
+        .execute("CREATE TABLE notes (model TEXT, note TEXT)")
+        .expect("create");
+    session
+        .execute("INSERT INTO notes VALUES ('cpp', 'surplus ruin'), ('queue', 'overflow')")
+        .expect("insert");
+    let answers = db.with_table("results", |t| t.len()).expect("results");
+    drop(session);
+    let reopened = Session::open(&dir, SessionConfig::default()).expect("reopen session");
+    let recovered = reopened
+        .db()
+        .with_table("results", |t| t.len())
+        .expect("recovered results");
+    let notes = reopened
+        .execute("SELECT COUNT(*) FROM notes")
+        .expect("recovered notes");
     println!(
-        "\npersisted to {} and recovered {} tables (skipped: {})",
+        "\nreopened the log in {}: {recovered}/{answers} result rows, {} note rows",
         dir.display(),
-        report.db.table_names().len(),
-        report.skipped.len()
+        notes.scalar().unwrap()
     );
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

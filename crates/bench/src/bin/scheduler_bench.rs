@@ -11,8 +11,8 @@
 //!   at a time; a query's latency is the time from the burst arrival to
 //!   its completion.
 //! * **Scheduler** — `ESTIMATE … ASYNC` for the whole burst, then
-//!   per-query completion times. The pool's least-attained-service policy lets the
-//!   cheap queries slice past the expensive ones.
+//!   per-query completion times. The pool's least-attained-service
+//!   policy lets the cheap queries slice past the expensive ones.
 //!
 //! Reported: per-class p50/p99 latency, makespan, throughput, and the
 //! session plan-cache counters (repeated same-model g-MLSS queries reuse

@@ -36,8 +36,6 @@ use std::time::Instant;
 pub enum SpecOutcome {
     /// A synchronous run: the estimate, already recorded in `results`.
     Estimated {
-        /// Point estimate `τ̂`.
-        tau: f64,
         /// The full outcome (variance, steps, roots, plan provenance).
         est: ProcEstimate,
         /// Wall-clock milliseconds the run took.
@@ -65,8 +63,8 @@ pub enum SpecOutcome {
     },
 }
 
-/// Execute a validated spec through the single dispatch path. `scheduler`
-/// is required for `ASYNC` specs; synchronous specs run on the calling
+/// Execute a validated spec through the single dispatch path. `ASYNC`
+/// specs are submitted to `scheduler`; synchronous specs run on the calling
 /// thread (sequential, batched, or parallel driver per the options) and
 /// record their `results` row before returning. `store` enables the
 /// cross-query reuse planner (serve-from-store / warm-start / cold with
@@ -79,7 +77,7 @@ pub fn execute_spec(
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
     store: Option<&Arc<ShardStore>>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     wal: Option<&SessionWal>,
     spec: &QuerySpec,
     rng: &mut SimRng,
@@ -108,16 +106,9 @@ pub fn execute_spec(
             let est = runner.estimate(spec, &ctx, rng)?;
             let millis = started.elapsed().as_millis() as i64;
             record_estimate_row(db, spec, &est, millis, wal)?;
-            Ok(SpecOutcome::Estimated {
-                tau: est.tau,
-                est,
-                millis,
-            })
+            Ok(SpecOutcome::Estimated { est, millis })
         }
         ExecMode::Async => {
-            let scheduler = scheduler.ok_or_else(|| {
-                DbError::Proc("ASYNC estimation requires a session scheduler".into())
-            })?;
             let seed = spec.options.seed.unwrap_or_else(|| rng.random::<u64>());
             let (runner, fp, _) = models.build_spec(db, spec)?;
             let ctx = PlanContext {
@@ -205,7 +196,7 @@ pub fn explain_spec(
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
     store: Option<&Arc<ShardStore>>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     spec: &QuerySpec,
     rng: &mut SimRng,
 ) -> Result<Vec<(String, String)>, DbError> {
@@ -301,18 +292,14 @@ pub fn explain_spec(
     let width = if asynchronous {
         spec.options
             .batch_width
-            .or_else(|| scheduler.map(|s| s.config().batch_width))
-            .unwrap_or(0)
+            .unwrap_or(scheduler.config().batch_width)
     } else {
         spec.options.batch_width.unwrap_or(0)
     };
     push(
         "driver",
         if asynchronous {
-            match scheduler {
-                Some(s) => format!("scheduler(workers={})", s.config().workers),
-                None => "scheduler (no session pool attached)".into(),
-            }
+            format!("scheduler(workers={})", scheduler.config().workers)
         } else if spec.options.threads > 1 {
             format!("parallel(threads={})", spec.options.threads)
         } else {
@@ -334,7 +321,7 @@ pub fn explain_spec(
     // (or its memoized winner) runs right here, so EXPLAIN warms the
     // width memo exactly like executing would.
     let default_width = if asynchronous {
-        scheduler.map(|s| s.config().batch_width).unwrap_or(0)
+        scheduler.config().batch_width
     } else {
         0
     };
@@ -412,7 +399,7 @@ pub fn execute_rank(
     db: &Database,
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     wal: Option<&SessionWal>,
     rank: &RankSpec,
     rng: &mut SimRng,
@@ -421,7 +408,7 @@ pub fn execute_rank(
     let asynchronous = rank.options.mode == ExecMode::Async;
     let seed = rank.options.seed.unwrap_or_else(|| rng.random::<u64>());
     let default_width = if asynchronous {
-        scheduler.map(|s| s.config().batch_width).unwrap_or(0)
+        scheduler.config().batch_width
     } else {
         0
     };
@@ -443,8 +430,6 @@ pub fn execute_rank(
     }
     let mut race = RaceQuery::new(arms, rank.race_config());
     if asynchronous {
-        let scheduler = scheduler
-            .ok_or_else(|| DbError::Proc("ASYNC ranking requires a session scheduler".into()))?;
         let tenant = rank
             .options
             .tenant
@@ -565,7 +550,7 @@ pub fn explain_rank(
     db: &Database,
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     rank: &RankSpec,
     rng: &mut SimRng,
 ) -> Result<Vec<(String, String)>, DbError> {
@@ -634,13 +619,10 @@ pub fn explain_rank(
     push(
         "driver",
         if asynchronous {
-            match scheduler {
-                Some(s) => format!(
-                    "scheduler(workers={}), one sliceable race query",
-                    s.config().workers
-                ),
-                None => "scheduler (no session pool attached)".into(),
-            }
+            format!(
+                "scheduler(workers={}), one sliceable race query",
+                scheduler.config().workers
+            )
         } else {
             "sequential race loop (same slice order as the scheduler)".into()
         },

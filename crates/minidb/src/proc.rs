@@ -1737,20 +1737,28 @@ mod tests {
         spec.params.insert("up".into(), 0.9);
         spec.params.insert("down".into(), 0.05);
         let mut rng = rng_from_seed(50);
-        let out =
-            crate::dispatch::execute_spec(&db, &models, &plans, None, None, None, &spec, &mut rng)
-                .unwrap();
-        let crate::dispatch::SpecOutcome::Estimated { tau: hot, .. } = out else {
+        let sched = Scheduler::new(mlss_core::scheduler::SchedulerConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let run = |spec: &QuerySpec, rng: &mut SimRng| {
+            crate::dispatch::execute_spec(&db, &models, &plans, None, &sched, None, spec, rng)
+        };
+        let out = run(&spec, &mut rng).unwrap();
+        let crate::dispatch::SpecOutcome::Estimated { est: hot, .. } = out else {
             panic!("sync spec");
         };
         let base = QuerySpec::new("walk", 5.0, 50, 0.3).with_method(Method::Srs);
-        let out =
-            crate::dispatch::execute_spec(&db, &models, &plans, None, None, None, &base, &mut rng)
-                .unwrap();
-        let crate::dispatch::SpecOutcome::Estimated { tau: cold, .. } = out else {
+        let out = run(&base, &mut rng).unwrap();
+        let crate::dispatch::SpecOutcome::Estimated { est: cold, .. } = out else {
             panic!("sync spec");
         };
-        assert!(hot > cold, "override ignored: hot={hot} cold={cold}");
+        assert!(
+            hot.tau > cold.tau,
+            "override ignored: hot={} cold={}",
+            hot.tau,
+            cold.tau
+        );
         // Unknown override names and out-of-range values are typed errors.
         let mut bad = base.clone();
         bad.params.insert("nope".into(), 1.0);

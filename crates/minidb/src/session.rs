@@ -530,7 +530,7 @@ impl Session {
                     &self.models,
                     &self.plans,
                     self.store.as_ref(),
-                    Some(&self.scheduler),
+                    &self.scheduler,
                     &spec,
                     &mut rng,
                 )?;
@@ -548,7 +548,7 @@ impl Session {
                     &self.db,
                     &self.models,
                     &self.plans,
-                    Some(&self.scheduler),
+                    &self.scheduler,
                     &rank,
                     &mut rng,
                 )?;
@@ -573,7 +573,7 @@ impl Session {
                     &self.db,
                     &self.models,
                     &self.plans,
-                    Some(&self.scheduler),
+                    &self.scheduler,
                     self.wal.as_deref(),
                     &rank,
                     &mut rng,
@@ -613,7 +613,7 @@ impl Session {
                     &self.models,
                     &self.plans,
                     self.store.as_ref(),
-                    Some(&self.scheduler),
+                    &self.scheduler,
                     self.wal.as_deref(),
                     &spec,
                     &mut rng,
